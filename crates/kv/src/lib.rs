@@ -7,7 +7,9 @@
 //!   lock per stripe of buckets, as Memcached stripes item locks);
 //! * a **global maintenance lock** taken periodically by write paths
 //!   (Memcached's hash-table expansion and LRU/slab bookkeeping switch
-//!   to global locks "for short periods of time");
+//!   to global locks "for short periods of time"); each pass crawls a
+//!   bounded 256-bucket window of one stripe, so the time the lock is
+//!   held does not grow with the table;
 //! * byte-string values (`bytes::Bytes`) with per-item CAS versions.
 //!
 //! Every lock is a pluggable `ssync-locks` algorithm — the paper's
@@ -96,6 +98,13 @@ use ssync_locks::{Lock, RawLock};
 /// rebalancer wakes periodically; we trigger on write counts to stay
 /// deterministic).
 pub const MAINTENANCE_PERIOD: u64 = 64;
+
+/// Buckets one maintenance pass crawls (fewer if its stripe is
+/// smaller). Successive passes over a stripe resume where the last one
+/// stopped, so the global-lock critical section stays O(1) in the table
+/// size, as Memcached crawls its LRU and expands its table
+/// incrementally.
+const CRAWL_BUCKETS: usize = 256;
 
 /// Optimistic read attempts before a read falls back to the locked
 /// path. Small on purpose: a failed validation means a writer is
@@ -1158,8 +1167,9 @@ impl<R: RawLock + Default> KvStore<R> {
     }
 
     /// The write path's periodic global-lock maintenance (Memcached's
-    /// LRU crawl / hash expansion stand-in: walks one stripe under the
-    /// global lock).
+    /// LRU crawl / hash expansion stand-in): crawls a
+    /// [`CRAWL_BUCKETS`]-bucket window of one stripe under the global
+    /// lock, resuming where the last pass over that stripe stopped.
     fn after_write(&self) {
         let n = self.write_counter.fetch_add(1, Ordering::Relaxed) + 1;
         if n % MAINTENANCE_PERIOD != 0 {
@@ -1169,19 +1179,10 @@ impl<R: RawLock + Default> KvStore<R> {
         self.stats.maintenance_runs.fetch_add(1, Ordering::Relaxed);
         // Touch one stripe while holding the global lock, as the real
         // rebalancer serializes against every writer.
-        let stripe = (n / MAINTENANCE_PERIOD) as usize % self.stripes.len();
-        let stripe = &self.stripes[stripe];
+        let pass = n / MAINTENANCE_PERIOD;
+        let stripe = &self.stripes[(pass % self.stripes.len() as u64) as usize];
         let mut inner = stripe.inner.lock();
-        let mut items = 0usize;
-        for head in stripe.heads.iter() {
-            let mut p = head.load(Ordering::Acquire);
-            while !p.is_null() {
-                // SAFETY: live node, stripe lock held.
-                p = unsafe { &*p }.next.load(Ordering::Acquire);
-                items += 1;
-            }
-        }
-        let _ = items;
+        self.crawl(stripe, &inner, pass);
         // Amortized reclamation: the same periodic visit that crawls the
         // stripe also nudges the epoch forward and collects this stripe's
         // expired generations, so a write-heavy store reclaims without
@@ -1192,6 +1193,35 @@ impl<R: RawLock + Default> KvStore<R> {
             }
             self.collect_locked(stripe, &mut inner);
         }
+    }
+
+    /// The `(start, len)` bucket window of its stripe that maintenance
+    /// pass `pass` crawls. Pass `pass` visits stripe `pass % stripes`,
+    /// so each stripe's passes are numbered `pass / stripes`, and the
+    /// k-th of them starts `k` windows in, wrapping at the stripe's end.
+    fn crawl_window(&self, pass: u64) -> (usize, usize) {
+        let window = CRAWL_BUCKETS.min(self.buckets_per_stripe);
+        let round = pass / self.stripes.len() as u64;
+        let start = round * window as u64 % self.buckets_per_stripe as u64;
+        (start as usize, window)
+    }
+
+    /// Walks every chain in pass `pass`'s bucket window of `stripe`
+    /// (see [`KvStore::crawl_window`]); returns the items visited. The
+    /// `&StripeInner` borrow shows the caller holds the stripe lock.
+    fn crawl(&self, stripe: &Stripe<R>, _locked: &StripeInner, pass: u64) -> usize {
+        let (start, window) = self.crawl_window(pass);
+        let mut items = 0;
+        for bucket in start..start + window {
+            let head = &stripe.heads[bucket % self.buckets_per_stripe];
+            let mut p = head.load(Ordering::Acquire);
+            while !p.is_null() {
+                // SAFETY: live node, stripe lock held.
+                p = unsafe { &*p }.next.load(Ordering::Acquire);
+                items += 1;
+            }
+        }
+        items
     }
 }
 
@@ -1253,7 +1283,56 @@ mod tests {
         for i in 0..(MAINTENANCE_PERIOD * 3) {
             kv.set(format!("k{i}").as_bytes(), b"v".as_slice());
         }
-        assert!(kv.stats().maintenance_runs.load(Ordering::Relaxed) >= 3);
+        assert_eq!(kv.stats().maintenance_runs.load(Ordering::Relaxed), 3);
+    }
+
+    /// Items visited by maintenance passes `passes`, each crawling its
+    /// stripe under that stripe's lock as `after_write` does.
+    fn crawl_passes(kv: &KvStore<TicketLock>, passes: core::ops::Range<u64>) -> usize {
+        passes
+            .map(|pass| {
+                let stripe = &kv.stripes[(pass % kv.stripes.len() as u64) as usize];
+                let inner = stripe.inner.lock();
+                kv.crawl(stripe, &inner, pass)
+            })
+            .sum()
+    }
+
+    #[test]
+    fn small_stripes_are_crawled_whole_every_pass() {
+        // 256 buckets per stripe: the window is the whole stripe, so
+        // one round of 16 passes visits every item once.
+        let kv: KvStore<TicketLock> = KvStore::new(4096, 16);
+        for i in 0..3000 {
+            kv.set(format!("k{i}").as_bytes(), b"v".as_slice());
+        }
+        for first in [0, 1, 7, 1000] {
+            assert_eq!(kv.crawl_window(first), (0, 256));
+            assert_eq!(crawl_passes(&kv, first..first + 16), kv.len());
+        }
+    }
+
+    #[test]
+    fn large_stripes_are_crawled_in_resuming_windows() {
+        // 8192 buckets per stripe: each pass crawls 256 of them, and any
+        // 16 stripes x 32 windows = 512 consecutive passes visit every
+        // item exactly once, whichever pass they start at.
+        let kv: KvStore<TicketLock> = KvStore::new(131_072, 16);
+        for i in 0..20_000 {
+            kv.set(format!("k{i}").as_bytes(), b"v".as_slice());
+        }
+        let passes = 16 * 8192 / CRAWL_BUCKETS as u64;
+        for first in [0, 1, 333] {
+            let mut windows = std::collections::HashSet::new();
+            for pass in first..first + passes {
+                let (start, len) = kv.crawl_window(pass);
+                assert_eq!((start % CRAWL_BUCKETS, len), (0, CRAWL_BUCKETS));
+                assert!(windows.insert((pass % 16, start)), "window crawled twice");
+            }
+            assert_eq!(crawl_passes(&kv, first..first + passes), kv.len());
+        }
+        // A single pass sees only its window's share of the items.
+        assert!(crawl_passes(&kv, 0..1) < kv.len() / 100);
     }
 
     #[test]
