@@ -78,38 +78,41 @@ fn correct_seqlock_double_bump_passes_under_weak_memory() {
     assert!(!report.truncated, "{report:?}");
 }
 
-/// A miniature of the Lamport SPSC ring's publish edge: producer writes a
-/// slot, then publishes by bumping `tail`; consumer checks `tail` against
-/// its own `head` before trusting the slot. `release_publish` selects the
-/// real protocol or the seeded bug (Relaxed tail store, which weak memory
-/// may commit *before* the slot write).
+/// A miniature of the SPSC ring's publish edge: producer writes a slot's
+/// payload, then publishes it by stamping the slot's own `seq` word
+/// full (`2t + 1`); consumer trusts the payload only once it reads that
+/// stamp. `release_publish` selects the real protocol or the seeded bug
+/// (Relaxed stamp, which weak memory may commit *before* the payload
+/// write).
 fn ring_publish_model(release_publish: bool) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let slot = Arc::new(AtomicU64::new(0));
-        let head = Arc::new(AtomicU64::new(0));
-        let tail = Arc::new(AtomicU64::new(0));
-        let (slot_p, tail_p) = (Arc::clone(&slot), Arc::clone(&tail));
+        let data = Arc::new(AtomicU64::new(0));
+        let seq = Arc::new(AtomicU64::new(0));
+        let (data_p, seq_p) = (Arc::clone(&data), Arc::clone(&seq));
         let producer = thread::spawn(move || {
-            slot_p.store(7, Ordering::Relaxed);
-            if release_publish {
-                tail_p.store(1, Ordering::Release);
-            } else {
-                // BUG: nothing orders the slot write before the publish.
-                tail_p.store(1, Ordering::Relaxed);
+            if seq_p.load(Ordering::Acquire) == 0 {
+                data_p.store(7, Ordering::Relaxed);
+                if release_publish {
+                    seq_p.store(1, Ordering::Release);
+                } else {
+                    // BUG: nothing orders the payload write before the
+                    // publishing stamp.
+                    seq_p.store(1, Ordering::Relaxed);
+                }
             }
         });
-        let h = head.load(Ordering::Relaxed);
-        if tail.load(Ordering::Acquire) > h {
-            let v = slot.load(Ordering::Relaxed);
+        if seq.load(Ordering::Acquire) == 1 {
+            let v = data.load(Ordering::Relaxed);
             assert_eq!(v, 7, "consumed an unpublished slot");
-            head.store(h + 1, Ordering::Release);
+            // Hand the slot to the next lap (depth 1: `2(0 + 1)`).
+            seq.store(2, Ordering::Release);
         }
         producer.join();
     }
 }
 
 #[test]
-fn buggy_ring_relaxed_tail_publish_is_caught() {
+fn buggy_ring_relaxed_seq_publish_is_caught() {
     let v = Builder::new()
         .with_weak_memory(true)
         .expect_violation(ring_publish_model(false));
@@ -117,7 +120,7 @@ fn buggy_ring_relaxed_tail_publish_is_caught() {
 }
 
 #[test]
-fn correct_ring_release_tail_publish_passes() {
+fn correct_ring_release_seq_publish_passes() {
     let report = Builder::new()
         .with_weak_memory(true)
         .check(ring_publish_model(true));

@@ -8,8 +8,10 @@
 //!
 //! * [`channel`] — the one-directional SPSC cache-line channel.
 //! * [`ring`] — the same protocol with queue depth (a bounded SPSC
-//!   ring), for oversubscribed hosts where a one-deep buffer turns
-//!   every multi-frame transfer into a context-switch pair per frame.
+//!   ring): `depth` one-line buffers whose flag is widened to a
+//!   lap-stamped sequence, so a frame is still one line transfer. For
+//!   oversubscribed hosts, where a one-deep buffer turns every
+//!   multi-frame transfer into a context-switch pair per frame.
 //! * [`hub`] — client/server helpers: receive from any client or from a
 //!   subset, as `libssmp` provides for server loops; generic over both
 //!   channel flavours.

@@ -12,53 +12,142 @@
 //! the *scheduler* runs the receiver, so an N-frame transfer costs N
 //! context-switch pairs.
 //!
-//! The ring keeps the wire format (cache-line [`Message`] frames, SPSC
-//! by construction, FIFO) but gives the channel `depth` slots — a
-//! classic Lamport queue with padded head/tail counters. A server can
+//! The ring gives the channel `depth` slots and keeps the `libssmp`
+//! cost model per frame: each slot is one 64-byte line holding the
+//! seven payload words *and* the word that publishes them, exactly the
+//! one-line channel's buffer with its full/empty flag widened to a
+//! lap-stamped sequence. There are no shared head/tail counters; each
+//! half keeps its own position on a line the other half never reads,
+//! so a frame moves between cores as one line transfer. A server can
 //! write an entire multi-frame reply and move on; a primary can stream
 //! a burst of replication entries without handing the core over per
-//! entry. The replication layer (`ssync-repl`) wires its mesh with
-//! rings; the figure-facing benches keep the single-line channel, whose
-//! cost model is the one the paper calibrates.
+//! entry.
+//!
+//! # Protocol
+//!
+//! A slot's `seq` packs the position it is stamped for with the
+//! one-line channel's full/empty flag: `seq = 2·pos + full`. Positions
+//! count from zero and never wrap, and slot `i` starts free for
+//! position `i` (`seq == 2i`).
+//!
+//! * The producer at position `t` owns slot `t % depth` once it reads
+//!   `seq == 2t` (Acquire), writes the payload, and publishes with a
+//!   Release store of `2t + 1`.
+//! * The consumer at position `h` owns slot `h % depth` once it reads
+//!   `seq == 2h + 1` (Acquire), copies the payload out, and hands the
+//!   slot to the producer's next lap with a Release store of
+//!   `2(h + depth)`.
+//!
+//! Every value of a slot's `seq` is stored once, by one side, so a
+//! half that reads the value it waits for knows the other half has
+//! finished with the payload. Any other value means "not yet": the
+//! producer sees `2(t − depth) + 1` (last lap's frame still unread), the
+//! consumer sees `2h` (this lap's frame not yet written). The flag bit
+//! is what keeps a depth-1 ring sound: with a unit stride, "published
+//! `t`" (`t + 1`) and "free for `t + depth`" would be the same value.
+//!
+//! # Memory ordering (x86/TSO and ARM/RCpc)
+//!
+//! Two Release/Acquire pairs per slot are the whole argument:
+//!
+//! * **Publish.** The payload write is sequenced before the producer's
+//!   Release store of `2t + 1`; the consumer's Acquire load that reads
+//!   that value synchronizes with it, so the write happens-before the
+//!   consumer's copy.
+//! * **Hand-back.** The consumer's copy is sequenced before its Release
+//!   store of `2(h + depth)`; the producer's Acquire load that reads
+//!   that value synchronizes with it, so the copy happens-before the
+//!   next lap's payload write — no frame is overwritten while read.
+//!
+//! Both edges are message passing through one location, the slot's
+//! `seq`: a Release store and an Acquire load that reads from it. RCpc
+//! acquire (ARMv8.3 `LDAPR`, and what C11 `Acquire` promises anyway)
+//! keeps exactly that guarantee; what it gives up relative to RCsc is
+//! the order between a Release store and a *later* Acquire load of a
+//! *different* location, and no step here depends on it. No thread
+//! stores one location and then needs to see another thread's store to
+//! a second one — the store-buffering shape that needs SeqCst — so no
+//! SeqCst access or fence appears. A stale `seq` read only reports
+//! "full" or "empty" early; it cannot expose a slot, because the value
+//! that grants access is stored only after the other side's last
+//! access to the payload.
+//!
+//! The positions are host atomics read and written only by their own
+//! half (`Relaxed`, no data published through them): atomics only so
+//! the halves stay `Sync`, and host rather than model-checked so the
+//! checker explores the slot handshake, not private bookkeeping.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use core::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU64 as HostAtomicU64, Ordering as HostOrdering};
 use std::sync::Arc;
 
 use ssync_core::{CachePadded, SpinWait};
 
 use crate::channel::Message;
+use crate::channel::{RX_CLOSED, TX_CLOSED};
 use crate::MSG_WORDS;
 
+/// One ring frame: seven payload words and their sequence word, one
+/// 64-byte line — [`crate::channel`]'s buffer layout with the flag
+/// widened to a lap-stamped sequence.
+#[repr(C, align(64))]
+struct Slot {
+    data: UnsafeCell<Message>,
+    /// `2·pos + full`: the position this slot is stamped for and
+    /// whether `data` holds that position's frame (module docs).
+    // chk: deliberately unpadded — sequence and payload *sharing* one
+    // cache line is the libssmp cost model: one line per frame.
+    seq: AtomicU64,
+}
+
+// SAFETY: `data` is written only by the unique producer while
+// `seq == 2t` and read only by the unique consumer while `seq == 2h + 1`;
+// each side reaches its state through an Acquire load of the value the
+// other side Release-stored after its last access, so no payload access
+// is ever concurrent with another.
+unsafe impl Sync for Slot {}
+
 struct Ring {
-    slots: Box<[UnsafeCell<Message>]>,
-    /// Next slot the consumer reads; only the consumer advances it.
-    head: CachePadded<AtomicU64>,
-    /// Next slot the producer writes; only the producer advances it.
-    tail: CachePadded<AtomicU64>,
+    slots: Box<[Slot]>,
     /// Dropped-half bits ([`crate::channel`]'s `TX_CLOSED`/`RX_CLOSED`),
-    /// on their own line so the Lamport fast path never touches it;
+    /// on their own line so the frame fast path never touches it;
     /// polled only from the cold branch of blocking loops.
     closed: CachePadded<AtomicU64>,
 }
 
-use crate::channel::{RX_CLOSED, TX_CLOSED};
+impl Ring {
+    fn depth(&self) -> u64 {
+        self.slots.len() as u64
+    }
 
-// SAFETY: slot `i` is written only by the unique producer while
-// `i - head < depth` (vs an Acquire load of `head`), published by the
-// Release store of `tail`, and read by the unique consumer only once
-// an Acquire load of `tail` covers it — no slot is ever accessed
-// concurrently.
-unsafe impl Sync for Ring {}
+    fn slot(&self, pos: u64) -> &Slot {
+        &self.slots[(pos as usize) & (self.slots.len() - 1)]
+    }
+}
+
+/// The `seq` of a slot free for position `pos` to write.
+const fn free(pos: u64) -> u64 {
+    pos << 1
+}
+
+/// The `seq` of a slot holding position `pos`'s frame.
+const fn full(pos: u64) -> u64 {
+    pos << 1 | 1
+}
 
 /// Sending half: exactly one per ring.
 pub struct RingSender {
     ring: Arc<Ring>,
+    /// Next position to write; only this half touches it.
+    tail: CachePadded<HostAtomicU64>,
 }
 
 /// Receiving half: exactly one per ring.
 pub struct RingReceiver {
     ring: Arc<Ring>,
+    /// Next position to read; only this half touches it.
+    head: CachePadded<HostAtomicU64>,
 }
 
 /// Creates a bounded SPSC ring channel with `depth` message slots.
@@ -71,18 +160,23 @@ pub fn ring_channel(depth: usize) -> (RingSender, RingReceiver) {
     assert!(depth > 0, "ring depth must be positive");
     assert!(depth.is_power_of_two(), "ring depth must be a power of two");
     let ring = Arc::new(Ring {
-        slots: (0..depth)
-            .map(|_| UnsafeCell::new([0; MSG_WORDS]))
+        slots: (0..depth as u64)
+            .map(|i| Slot {
+                data: UnsafeCell::new([0; MSG_WORDS]),
+                seq: AtomicU64::new(free(i)),
+            })
             .collect(),
-        head: CachePadded::new(AtomicU64::new(0)),
-        tail: CachePadded::new(AtomicU64::new(0)),
         closed: CachePadded::new(AtomicU64::new(0)),
     });
     (
         RingSender {
             ring: Arc::clone(&ring),
+            tail: CachePadded::new(HostAtomicU64::new(0)),
         },
-        RingReceiver { ring },
+        RingReceiver {
+            ring,
+            head: CachePadded::new(HostAtomicU64::new(0)),
+        },
     )
 }
 
@@ -113,23 +207,24 @@ impl RingSender {
     /// Attempts to send without blocking; returns the message back if
     /// the ring is full.
     pub fn try_send(&self, msg: Message) -> Result<(), Message> {
-        let tail = self.ring.tail.load(Ordering::Relaxed);
-        let head = self.ring.head.load(Ordering::Acquire);
-        // Coherence keeps both counters monotone from this side's view,
-        // so even a lagging `head` satisfies the ring invariant.
+        let t = self.tail.load(HostOrdering::Relaxed);
+        let slot = self.ring.slot(t);
+        let seq = slot.seq.load(Ordering::Acquire);
+        // Coherence keeps each slot's `seq` monotone, so the producer
+        // sees either its own turn or last lap's unread frame.
         debug_assert!(
-            head <= tail && tail - head <= self.ring.slots.len() as u64,
-            "ring counters out of range: head {head}, tail {tail}"
+            seq == free(t) || seq + 2 * self.ring.depth() == full(t),
+            "ring slot out of lap: seq {seq}, tail {t}"
         );
-        if tail - head == self.ring.slots.len() as u64 {
+        if seq != free(t) {
             return Err(msg);
         }
-        let idx = (tail as usize) & (self.ring.slots.len() - 1);
-        // SAFETY: the slot is past `head` (consumer done with it) and
-        // before the published `tail` (consumer cannot read it yet);
-        // we are the unique producer.
-        unsafe { *self.ring.slots[idx].get() = msg };
-        self.ring.tail.store(tail + 1, Ordering::Release);
+        // SAFETY: `seq == 2t` (Acquire) means the consumer has finished
+        // reading this slot's previous lap and cannot read it again
+        // until the store below; we are the unique producer.
+        unsafe { *slot.data.get() = msg };
+        slot.seq.store(full(t), Ordering::Release);
+        self.tail.store(t + 1, HostOrdering::Relaxed);
         Ok(())
     }
 
@@ -155,28 +250,32 @@ impl RingReceiver {
 
     /// Attempts to receive without blocking.
     pub fn try_recv(&self) -> Option<Message> {
-        let head = self.ring.head.load(Ordering::Relaxed);
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        // Mirror of the producer-side invariant; a violation here means
-        // a torn publication, not mere staleness.
+        let h = self.head.load(HostOrdering::Relaxed);
+        let slot = self.ring.slot(h);
+        let seq = slot.seq.load(Ordering::Acquire);
+        // The consumer sees either this lap's frame not yet written or
+        // written; anything else is a torn protocol, not staleness.
         debug_assert!(
-            head <= tail && tail - head <= self.ring.slots.len() as u64,
-            "ring counters out of range: head {head}, tail {tail}"
+            seq == free(h) || seq == full(h),
+            "ring slot out of lap: seq {seq}, head {h}"
         );
-        if head == tail {
+        if seq != full(h) {
             return None;
         }
-        let idx = (head as usize) & (self.ring.slots.len() - 1);
-        // SAFETY: the slot is covered by the Acquire-loaded `tail`
-        // (producer published it) and we are the unique consumer.
-        let msg = unsafe { *self.ring.slots[idx].get() };
-        self.ring.head.store(head + 1, Ordering::Release);
+        // SAFETY: `seq == 2h + 1` (Acquire) means the producer published
+        // this slot and will not write it again until the store below;
+        // we are the unique consumer.
+        let msg = unsafe { *slot.data.get() };
+        slot.seq
+            .store(free(h + self.ring.depth()), Ordering::Release);
+        self.head.store(h + 1, HostOrdering::Relaxed);
         Some(msg)
     }
 
     /// True if a message is waiting (advisory).
     pub fn has_message(&self) -> bool {
-        self.ring.head.load(Ordering::Relaxed) != self.ring.tail.load(Ordering::Relaxed)
+        let h = self.head.load(HostOrdering::Relaxed);
+        self.ring.slot(h).seq.load(Ordering::Relaxed) == full(h)
     }
 
     /// True if the sending half has been dropped. Queued messages may
@@ -192,16 +291,31 @@ mod tests {
     use super::*;
 
     #[test]
+    fn slot_is_one_cache_line() {
+        assert_eq!(core::mem::size_of::<Slot>(), 64);
+        assert_eq!(core::mem::align_of::<Slot>(), 64);
+    }
+
+    #[test]
     fn fifo_within_capacity() {
-        let (tx, rx) = ring_channel(8);
-        for i in 0..8u64 {
-            tx.try_send([i; MSG_WORDS]).unwrap();
+        // Depth 1 is the case a unit-stride sequence gets wrong: its
+        // "published" and "free for the next lap" stamps coincide.
+        for depth in [1, 2, 8] {
+            let (tx, rx) = ring_channel(depth);
+            let mut next = 0u64;
+            for _lap in 0..1000 {
+                for i in 0..depth as u64 {
+                    tx.try_send([next + i; MSG_WORDS]).unwrap();
+                }
+                assert!(tx.try_send([99; MSG_WORDS]).is_err(), "ring must bound");
+                for _ in 0..depth {
+                    assert_eq!(rx.try_recv(), Some([next; MSG_WORDS]));
+                    next += 1;
+                }
+                assert!(rx.try_recv().is_none());
+                assert!(!rx.has_message());
+            }
         }
-        assert!(tx.try_send([99; MSG_WORDS]).is_err(), "ring must bound");
-        for i in 0..8u64 {
-            assert_eq!(rx.recv(), [i; MSG_WORDS]);
-        }
-        assert!(rx.try_recv().is_none());
     }
 
     #[test]
@@ -221,18 +335,26 @@ mod tests {
 
     #[test]
     fn threaded_burst_transfer_is_fifo() {
-        let (tx, rx) = ring_channel(16);
-        const N: u64 = 5_000;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..N {
-                    tx.send([i, 0, 0, 0, 0, 0, 0]);
+        // Three-frame bursts (a head plus two continuation frames)
+        // overrun a depth-1 or depth-2 ring on every burst.
+        for depth in [1, 2, 16] {
+            let (tx, rx) = ring_channel(depth);
+            const BURSTS: u64 = 2_000;
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    for b in 0..BURSTS {
+                        for f in 0..3 {
+                            tx.send([b, f, 0, 0, 0, 0, 0]);
+                        }
+                    }
+                });
+                for b in 0..BURSTS {
+                    for f in 0..3 {
+                        assert_eq!(rx.recv()[..2], [b, f], "depth {depth}");
+                    }
                 }
             });
-            for i in 0..N {
-                assert_eq!(rx.recv()[0], i);
-            }
-        });
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! atomics resolve to `ssync-chk` shadow atomics and `SpinWait` /
 //! `ParkingWait` degenerate to one scheduler yield per poll, so the
 //! checker exhaustively interleaves the actual `send`/`recv` protocol
-//! code — the Lamport ring's head/tail handshake and the one-line
+//! code — the ring's per-slot sequence handshake and the one-line
 //! channel's flag protocol — up to the preemption bound.
 //!
 //! Run with:
@@ -44,8 +44,9 @@ fn ring_delivers_every_frame_in_order_across_wraps() {
 }
 
 /// The same ring protocol under the store-buffer memory model: the
-/// Release stores of `tail` (publish) and `head` (slot hand-back) are
-/// all that orders the two sides, and they must still be enough.
+/// Release stores of each slot's `seq` (publish, then hand-back to the
+/// next lap) are all that orders the two sides, and they must still be
+/// enough.
 #[test]
 fn ring_protocol_is_sound_under_weak_memory() {
     let report = Builder::new().with_weak_memory(true).check(|| {

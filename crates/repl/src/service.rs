@@ -648,6 +648,58 @@ fn node_stats_payload<R: RawLock + Default>(
     snap.to_bytes()
 }
 
+/// Applies one entry through the stream-order gate (the layer that
+/// blocks delete-resurrection) and the store's per-key gate.
+fn apply<R: RawLock + Default>(
+    store: &KvStore<R>,
+    entry: &LogEntry,
+    report: &mut NodeReport,
+    from_log: bool,
+) {
+    if entry.version <= report.hwm {
+        report.stale_drops += 1;
+        store
+            .stats()
+            .repl_stale_drops
+            .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
+        return;
+    }
+    let value = match &entry.op {
+        LogOp::Put(value) => Some(value.as_ref()),
+        LogOp::Delete => None,
+    };
+    store.apply_replicated(&key_bytes(entry.key), entry.version, value);
+    report.hwm = entry.version;
+    if from_log {
+        report.from_log += 1;
+    } else {
+        report.applied += 1;
+    }
+}
+
+/// Applies a closing stall window's buffer. After a failover the
+/// buffer can hold a newer leader's frames while older-term entries
+/// still sit unread on the dead leader's stream, so the log, which
+/// has every entry, is replayed first: applying the buffer first
+/// would lift the hwm past those entries and the replay would skip
+/// them.
+fn close_window<R: RawLock + Default>(
+    store: &KvStore<R>,
+    log: &OpLog,
+    buffered: &[LogEntry],
+    report: &mut NodeReport,
+    failover: bool,
+) {
+    if failover {
+        for entry in &log.entries_after(report.hwm) {
+            apply(store, entry, report, true);
+        }
+    }
+    for entry in buffered {
+        apply(store, entry, report, false);
+    }
+}
+
 /// Runs one node of a shard's replication group until shutdown (every
 /// client stopped and the group converged) or scheduled death.
 ///
@@ -699,7 +751,12 @@ pub fn serve_node<R: RawLock + Default>(
         term: 1,
         ..NodeReport::default()
     };
-    let mut my_term = map.view(shard).term;
+    // The store starts in its preloaded state, which belongs to the
+    // map's first term. A node whose thread starts after a failover
+    // must still adopt the newer term (replaying the log): frames the
+    // dead leader queued for it are fenced, and only that replay
+    // covers them.
+    let mut my_term = report.term;
     let mut live_clients = nclients;
     let mut leader_done = false;
     let mut pending_ack: Option<u64> = None;
@@ -715,35 +772,6 @@ pub fn serve_node<R: RawLock + Default>(
     // displaced nodes exactly like direct writes do.
     const RECLAIM_PERIOD: u64 = 1024;
     let mut since_reclaim = 0u64;
-
-    /// Applies one entry through the stream-order gate (the layer that
-    /// blocks delete-resurrection) and the store's per-key gate.
-    fn apply<R: RawLock + Default>(
-        store: &KvStore<R>,
-        entry: &LogEntry,
-        report: &mut NodeReport,
-        from_log: bool,
-    ) {
-        if entry.version <= report.hwm {
-            report.stale_drops += 1;
-            store
-                .stats()
-                .repl_stale_drops
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-            return;
-        }
-        let value = match &entry.op {
-            LogOp::Put(value) => Some(value.as_ref()),
-            LogOp::Delete => None,
-        };
-        store.apply_replicated(&key_bytes(entry.key), entry.version, value);
-        report.hwm = entry.version;
-        if from_log {
-            report.from_log += 1;
-        } else {
-            report.applied += 1;
-        }
-    }
 
     loop {
         // ---- Role and term maintenance (one map word read). ----
@@ -771,16 +799,11 @@ pub fn serve_node<R: RawLock + Default>(
                 // Promotion: close any open window, replay the log tail
                 // past our hwm (everything acknowledged by anyone is in
                 // there — see DESIGN.md), then lead.
-                if let BackupState::Stalled { buffered, .. } =
-                    std::mem::replace(&mut state, BackupState::Healthy)
-                {
-                    for entry in &buffered {
-                        apply(store, entry, &mut report, false);
-                    }
-                }
-                for entry in &log.entries_after(report.hwm) {
-                    apply(store, entry, &mut report, true);
-                }
+                let buffered = match std::mem::replace(&mut state, BackupState::Healthy) {
+                    BackupState::Stalled { buffered, .. } => buffered,
+                    BackupState::Healthy | BackupState::Crashed { .. } => Vec::new(),
+                };
+                close_window(store, log, &buffered, &mut report, true);
                 map.publish_hwm(shard, me, report.hwm);
                 my_term = term;
                 report.term = my_term;
@@ -865,14 +888,8 @@ pub fn serve_node<R: RawLock + Default>(
                         // cumulative ack.
                         match std::mem::replace(&mut state, BackupState::Healthy) {
                             BackupState::Stalled { buffered, .. } => {
-                                for entry in &buffered {
-                                    apply(store, entry, &mut report, false);
-                                }
-                                if map.view(shard).term > my_term {
-                                    for entry in &log.entries_after(report.hwm) {
-                                        apply(store, entry, &mut report, true);
-                                    }
-                                }
+                                let failover = map.view(shard).term > my_term;
+                                close_window(store, log, &buffered, &mut report, failover);
                             }
                             BackupState::Crashed { .. } => {
                                 for entry in &log.entries_after(report.hwm) {
@@ -942,17 +959,8 @@ pub fn serve_node<R: RawLock + Default>(
                     *left -= 1;
                     if *left == 0 {
                         let buffered = std::mem::take(buffered);
-                        for entry in &buffered {
-                            apply(store, entry, &mut report, false);
-                        }
-                        if map.view(shard).term > my_term {
-                            // A failover happened mid-window: the
-                            // buffer may have gaps the fence dropped;
-                            // the log has them all.
-                            for entry in &log.entries_after(report.hwm) {
-                                apply(store, entry, &mut report, true);
-                            }
-                        }
+                        let failover = map.view(shard).term > my_term;
+                        close_window(store, log, &buffered, &mut report, failover);
                         map.publish_hwm(shard, me, report.hwm);
                         pending_ack = Some(report.hwm);
                         state = BackupState::Healthy;
@@ -2364,6 +2372,71 @@ mod tests {
         assert_eq!(view.term, 2, "one crash bumps the term once");
         assert_ne!(view.leader, Some(0), "the dead seed leader cannot lead");
         assert_eq!(cluster.map().failovers(0), 1);
+    }
+
+    #[test]
+    fn follower_started_after_a_failover_replays_the_dead_leaders_entries() {
+        // Node 0 dies leading after entry 2, and node 2 starts only once
+        // node 1 leads term 2: its stream rings already hold the dead
+        // leader's entries 1-2 next to its successor's 3-4. It fences
+        // the former, so it must adopt term 2 from its starting term
+        // (not from the map) to replay them from the log.
+        let cluster: ReplCluster<TicketLock> =
+            ReplCluster::new(1, 64, 8, ReplSpec::async_bounded(2));
+        let map = cluster.map().clone();
+        let (endpoints, mut clients) = repl_mesh(&map, 1);
+        let mut endpoints = endpoints.into_iter().next().expect("one shard");
+        let late = endpoints.pop().expect("node 2");
+        let cfg = || NodeConfig {
+            shard: 0,
+            mode: cluster.spec().mode,
+            initial_hwm: 0,
+            backup_plan: FaultPlan::none(),
+            crash_plan: FaultPlan::primary_crashes(vec![2]),
+        };
+        std::thread::scope(|s| {
+            let (map, log) = (&map, cluster.log(0));
+            for endpoint in endpoints {
+                let (store, cfg) = (cluster.node_store(0, endpoint.node()), cfg());
+                s.spawn(move || serve_node(store, log, map, endpoint, cfg));
+            }
+            let client = clients.pop().expect("one client");
+            for key in 0..4u64 {
+                client.set(key, vec![key as u8; 4]).unwrap();
+            }
+            let failed_over = ShardView {
+                term: 2,
+                leader: Some(1),
+            };
+            assert_eq!(map.view(0), failed_over);
+            let (store, cfg) = (cluster.node_store(0, 2), cfg());
+            s.spawn(move || serve_node(store, log, map, late, cfg));
+            client.close();
+        });
+        assert!(cluster.converged());
+    }
+
+    #[test]
+    fn stall_window_closing_across_a_failover_replays_the_log_first() {
+        // The window buffered the dead leader's entry 1 and its
+        // successor's entry 3; entry 2 is still queued on the dead
+        // leader's stream, which the follower will fence.
+        let store: KvStore<TicketLock> = KvStore::new(64, 8);
+        let log = OpLog::new(16);
+        let entry = |version: u64| LogEntry {
+            key: version,
+            version,
+            op: LogOp::Put(Bytes::from(vec![version as u8])),
+        };
+        for version in 1..=3 {
+            log.append(entry(version));
+        }
+        let mut report = NodeReport::default();
+        close_window(&store, &log, &[entry(1), entry(3)], &mut report, true);
+        assert_eq!(report.hwm, 3);
+        for key in 1..=3u64 {
+            assert!(store.get(&key_bytes(key)).is_some(), "entry {key} lost");
+        }
     }
 
     #[test]

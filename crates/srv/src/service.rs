@@ -10,10 +10,11 @@
 //! The service is **generic over the transport** (mirroring
 //! `ServerHub`'s [`MsgReceiver`] generality): [`wire_mesh`] builds it
 //! on the paper-calibrated one-line channels, [`ring_mesh`] on bounded
-//! SPSC rings ([`ssync_mp::ring_channel`]). The one-line flavour keeps
-//! the documented single-cache-line cost model — but on an
-//! oversubscribed host it costs a context-switch pair per *frame*,
-//! which is why the ring flavour exists: a server writes a whole
+//! SPSC rings ([`ssync_mp::ring_channel`]). Both keep the single-line
+//! cost model per frame — a ring slot is the one-line buffer with its
+//! flag widened to a sequence word — but a one-deep buffer on an
+//! oversubscribed host costs a context-switch pair per *frame*, which
+//! is why the ring flavour exists: a server writes a whole
 //! multi-frame reply and moves on, and a client can **pipeline** reads
 //! ([`ServiceClient::send_get`] / [`ServiceClient::read_get_reply`]),
 //! keeping a window of requests in flight per shard and draining
@@ -44,7 +45,7 @@ use ssync_mp::{
 };
 
 use crate::router::{key_bytes, shard_of};
-use crate::wire::{Request, Response, WireError, MGET_MAX};
+use crate::wire::{encode_value_into, Request, Response, WireError, MGET_MAX};
 
 /// A shard server's side of the channel mesh: one request receiver and
 /// one reply sender per client, index-aligned. Generic over the
@@ -196,8 +197,9 @@ pub struct ServeReport {
 ///
 /// Observability: the loop registers into a per-server
 /// [`Registry`] — `srv.requests`/`srv.malformed` counters on every
-/// request, plus `srv.queue_wait_ns` and `srv.apply_ns` histograms
-/// fed by [`Request::TimedGet`]'s intended-send stamps — and answers
+/// request, plus `srv.queue_wait_ns` and `srv.apply_ns` (store read
+/// plus encoding the reply frames) histograms fed by
+/// [`Request::TimedGet`]'s intended-send stamps — and answers
 /// [`Request::Stats`] with a live snapshot (registry metrics plus the
 /// shard store's counters) without pausing service.
 pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
@@ -215,12 +217,6 @@ pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
     let malformed_ctr = registry.counter("srv.malformed");
     let queue_wait = registry.histogram("srv.queue_wait_ns");
     let apply = registry.histogram("srv.apply_ns");
-    let send_all = |client: usize, response: &Response, frames: &mut Vec<Message>| {
-        response.encode_into(frames);
-        for &frame in frames.iter() {
-            replies[client].send(frame);
-        }
-    };
     // Online reclamation cadence: every RECLAIM_PERIOD processed
     // requests the loop runs one epoch advance-and-collect pass, so a
     // long-lived shard frees its retired nodes while traffic flows —
@@ -242,45 +238,44 @@ pub fn serve<R: RawLock + Default, C: MsgReceiver, S: MsgSender>(
                 None => wait.snooze(),
             }
         };
-        let request = match Request::decode(head, || hub.recv_from_subset(&[client]).1) {
-            Ok(request) => request,
+        // Every arm leaves the reply's frames in `frames`, sent below.
+        match Request::decode(head, || hub.recv_from_subset(&[client]).1) {
             Err(_) => {
                 report.malformed += 1;
                 malformed_ctr.inc();
-                send_all(client, &Response::Malformed, &mut frames);
+                Response::Malformed.encode_into(&mut frames);
+            }
+            Ok(Request::Stop) => {
+                live -= 1;
                 continue;
             }
-        };
-        match request {
-            Request::Stop => live -= 1,
-            Request::Stats => {
+            Ok(request) => {
                 report.requests += 1;
                 requests_ctr.inc();
-                let mut snap = registry.snapshot();
-                append_store_counters(shard, &mut snap);
-                let reply = Response::StatsReply {
-                    payload: snap.to_bytes(),
-                };
-                send_all(client, &reply, &mut frames);
-            }
-            Request::TimedGet { key, stamp } => {
-                report.requests += 1;
-                requests_ctr.inc();
-                let t0 = mono_ns();
-                queue_wait.record(t0.saturating_sub(stamp));
-                let responses = execute(shard, Request::Get { key }, &mut report.key_ops);
-                apply.record(mono_ns().saturating_sub(t0));
-                for response in responses {
-                    send_all(client, &response, &mut frames);
+                match request {
+                    Request::Stats => {
+                        let mut snap = registry.snapshot();
+                        append_store_counters(shard, &mut snap);
+                        let payload = snap.to_bytes();
+                        Response::StatsReply { payload }.encode_into(&mut frames);
+                    }
+                    Request::TimedGet { key, stamp } => {
+                        let t0 = mono_ns();
+                        queue_wait.record(t0.saturating_sub(stamp));
+                        execute(
+                            shard,
+                            Request::Get { key },
+                            &mut report.key_ops,
+                            &mut frames,
+                        );
+                        apply.record(mono_ns().saturating_sub(t0));
+                    }
+                    request => execute(shard, request, &mut report.key_ops, &mut frames),
                 }
             }
-            request => {
-                report.requests += 1;
-                requests_ctr.inc();
-                for response in execute(shard, request, &mut report.key_ops) {
-                    send_all(client, &response, &mut frames);
-                }
-            }
+        }
+        for &frame in frames.iter() {
+            replies[client].send(frame);
         }
     }
     report
@@ -308,24 +303,20 @@ fn append_store_counters<R: RawLock + Default>(shard: &KvStore<R>, snap: &mut Re
     }
 }
 
-/// Executes one request against the shard, returning the responses to
-/// send (one per key for a multi-get, in key order).
+/// Executes one request against the shard, encoding its replies into
+/// `out` (one per key for a multi-get, in key order). A hit is encoded
+/// straight from the store's buffer, so a read allocates nothing.
 fn execute<R: RawLock + Default>(
     shard: &KvStore<R>,
     request: Request,
     key_ops: &mut u64,
-) -> Vec<Response> {
-    let lookup = |key: u64| match shard.get_with_version(&key_bytes(key)) {
-        Some((version, value)) => Response::Value {
-            version,
-            value: value.as_ref().to_vec(),
-        },
-        None => Response::Miss,
-    };
+    out: &mut Vec<Message>,
+) {
+    out.clear();
     match request {
         Request::Get { key } => {
             *key_ops += 1;
-            vec![lookup(key)]
+            push_read(shard.get_with_version(&key_bytes(key)), out);
         }
         Request::MultiGet { keys } => {
             *key_ops += keys.len() as u64;
@@ -333,23 +324,14 @@ fn execute<R: RawLock + Default>(
             // store's configured read path (optimistic by default).
             let key_bufs: Vec<[u8; 8]> = keys.iter().map(|&key| key_bytes(key)).collect();
             let key_refs: Vec<&[u8]> = key_bufs.iter().map(|buf| buf.as_slice()).collect();
-            shard
-                .multi_get(&key_refs)
-                .into_iter()
-                .map(|hit| match hit {
-                    Some((version, value)) => Response::Value {
-                        version,
-                        value: value.as_ref().to_vec(),
-                    },
-                    None => Response::Miss,
-                })
-                .collect()
+            for hit in shard.multi_get(&key_refs) {
+                push_read(hit, out);
+            }
         }
         Request::Set { key, value } => {
             *key_ops += 1;
-            vec![Response::Stored {
-                version: shard.set(&key_bytes(key), value),
-            }]
+            let version = shard.set(&key_bytes(key), value);
+            Response::Stored { version }.append_to(out);
         }
         Request::Cas {
             key,
@@ -357,17 +339,19 @@ fn execute<R: RawLock + Default>(
             value,
         } => {
             *key_ops += 1;
-            vec![match shard.cas(&key_bytes(key), value, expected) {
+            match shard.cas(&key_bytes(key), value, expected) {
                 Ok(version) => Response::Stored { version },
                 Err(current) => Response::CasFail { current },
-            }]
+            }
+            .append_to(out);
         }
         Request::Delete { key } => {
             *key_ops += 1;
-            vec![match shard.delete_versioned(&key_bytes(key)) {
+            match shard.delete_versioned(&key_bytes(key)) {
                 Some(version) => Response::Deleted { version },
                 None => Response::NotFound,
-            }]
+            }
+            .append_to(out);
         }
         // Replication traffic belongs to the `ssync-repl` primary and
         // replica loops; at a plain shard server it is a protocol
@@ -375,10 +359,18 @@ fn execute<R: RawLock + Default>(
         Request::Replicate { .. }
         | Request::ReplicateDelete { .. }
         | Request::ReplGet { .. }
-        | Request::ReplMultiGet { .. } => vec![Response::Malformed],
+        | Request::ReplMultiGet { .. } => Response::Malformed.append_to(out),
         Request::TimedGet { .. } | Request::Stats | Request::Stop => {
             unreachable!("handled by the serve loop")
         }
+    }
+}
+
+/// Appends one read's reply: the value frames on a hit, `Miss` otherwise.
+fn push_read(hit: Option<(u64, impl AsRef<[u8]>)>, out: &mut Vec<Message>) {
+    match hit {
+        Some((version, value)) => encode_value_into(version, value.as_ref(), out),
+        None => Response::Miss.append_to(out),
     }
 }
 

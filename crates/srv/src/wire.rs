@@ -381,6 +381,20 @@ fn push_value_frames(mut head: Message, value: &[u8], out: &mut Vec<Message>) {
     }
 }
 
+/// Appends the frames of a [`Response::Value`] reply to `out`, reading
+/// the value in place — a server encodes a hit straight from the
+/// store's buffer, without an owned copy.
+///
+/// # Panics
+///
+/// Panics if `value` exceeds [`MAX_VALUE_LEN`].
+pub(crate) fn encode_value_into(version: u64, value: &[u8], out: &mut Vec<Message>) {
+    let mut head: Message = [0; MSG_WORDS];
+    head[0] = head_word(ST_VALUE, 0, value.len());
+    head[1] = version;
+    push_value_frames(head, value, out);
+}
+
 /// Reads a `vlen`-byte value from the head frame's tail plus
 /// continuation frames pulled via `more`.
 fn read_value_frames(head: &Message, vlen: usize, mut more: impl FnMut() -> Message) -> Vec<u8> {
@@ -635,13 +649,20 @@ impl Response {
     /// As for [`Response::encode`].
     pub fn encode_into(&self, out: &mut Vec<Message>) {
         out.clear();
+        self.append_to(out);
+    }
+
+    /// Appends the response's frames to `out` without clearing it, so
+    /// the frames of several responses (a multi-get's) can queue in one
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Response::encode`].
+    pub(crate) fn append_to(&self, out: &mut Vec<Message>) {
         let mut m: Message = [0; MSG_WORDS];
         match self {
-            Response::Value { version, value } => {
-                m[0] = head_word(ST_VALUE, 0, value.len());
-                m[1] = *version;
-                push_value_frames(m, value, out);
-            }
+            Response::Value { version, value } => encode_value_into(*version, value, out),
             Response::Miss => {
                 m[0] = head_word(ST_MISS, 0, 0);
                 out.push(m);
